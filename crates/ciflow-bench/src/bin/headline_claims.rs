@@ -5,7 +5,7 @@
 use ciflow::analysis::table2_rows;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{min_bandwidth_for_runtime, table4_rows, BASELINE_BANDWIDTH_GBPS};
+use ciflow::sweep::{table4_rows, try_min_bandwidth_for_runtime, BASELINE_BANDWIDTH_GBPS};
 use rpu::EvkPolicy;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     );
     for benchmark in HksBenchmark::all() {
         let baseline = ciflow::sweep::baseline_runtime_ms(benchmark);
-        let needed = min_bandwidth_for_runtime(
+        let needed = try_min_bandwidth_for_runtime(
             benchmark,
             Dataflow::OutputCentric,
             EvkPolicy::Streamed,
@@ -44,7 +44,8 @@ fn main() {
             baseline,
             4.0,
             1024.0,
-        );
+        )
+        .expect("built-in dataflow bisections are infallible");
         println!(
             "{}: OC streaming matches the baseline at {needed:.1} GB/s ({:.2}x saving; paper: up to 3.3x)",
             benchmark.name,

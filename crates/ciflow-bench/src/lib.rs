@@ -18,7 +18,7 @@ pub mod serving;
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{bandwidth_sweep, SweepSeries};
+use ciflow::sweep::{try_bandwidth_sweep_in, SweepSeries};
 use rpu::{EvkPolicy, RpuConfig};
 
 /// Prints a titled section to stdout.
@@ -57,14 +57,23 @@ pub fn extended_bandwidths() -> Vec<f64> {
 }
 
 /// Runs the three dataflows of one benchmark over a bandwidth ladder.
+///
+/// # Panics
+///
+/// Panics if a sweep fails — the built-in dataflows never do, barring a
+/// simulator bug.
 pub fn sweep_all_dataflows(
     benchmark: HksBenchmark,
     bandwidths: &[f64],
     evk_policy: EvkPolicy,
 ) -> Vec<SweepSeries> {
+    let session = Session::new();
     Dataflow::all()
         .into_iter()
-        .map(|d| bandwidth_sweep(benchmark, d, bandwidths, evk_policy, 1.0))
+        .map(|d| {
+            try_bandwidth_sweep_in(&session, benchmark, d, bandwidths, evk_policy, 1.0)
+                .expect("built-in dataflow sweeps are infallible")
+        })
         .collect()
 }
 

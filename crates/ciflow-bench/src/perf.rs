@@ -8,7 +8,7 @@
 //! the JSON schema is validated by a test in this module).
 //!
 //! The workload-sweep section reports two numbers: the *optimized* wall time
-//! of [`ciflow::sweep::try_workload_sweep`] as shipped (schedule cache warm
+//! of [`ciflow::sweep::try_workload_sweep_in`] as shipped (schedule cache warm
 //! across the bandwidth ladder, statistics-only execution), and a *baseline*
 //! wall time of the same job set run the way the sweep worked before the
 //! hot-path overhaul — rebuilding the schedule at every bandwidth point and
@@ -21,14 +21,13 @@ use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::hks_shape::HksShape;
+use ciflow::report::json_escape;
 use ciflow::schedule::{build_schedule, ScheduleConfig};
 use ciflow::serve::{
     try_fault_serve_in, try_serve_in, ArrivalProcess, CrashPlan, FaultPlan, RequestClass,
     RetryPolicy, ServeConfig,
 };
-use ciflow::sweep::{
-    try_analytic_sweep_in, try_workload_sweep, try_workload_sweep_in, BANDWIDTH_LADDER,
-};
+use ciflow::sweep::{try_analytic_sweep_in, try_workload_sweep_in, BANDWIDTH_LADDER};
 use ciflow::workload::{PipelineMode, Workload};
 use rpu::{EvkPolicy, RpuConfig, RpuEngine, TraceMode};
 use std::time::Instant;
@@ -307,7 +306,8 @@ fn measure_workload_sweep(iters: usize, bandwidths: &[f64]) -> WorkloadSweepPerf
     let optimized_ms = best_ms(iters, || {
         for mode in modes {
             std::hint::black_box(
-                try_workload_sweep(
+                try_workload_sweep_in(
+                    &Session::new(),
                     &workload,
                     Dataflow::OutputCentric,
                     bandwidths,
@@ -557,24 +557,6 @@ fn json_f64(value: f64) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal (the fields are
-/// `pub`, so a caller-constructed report may carry arbitrary names).
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl PerfReport {
     /// Renders the report as the `BENCH_simulator.json` document. The
     /// workspace's serde is an offline marker shim, so the (small, fixed)
@@ -627,7 +609,7 @@ impl PerfReport {
     "engine_path_ms": {a_engine},
     "analytic_ms": {a_analytic},
     "analytic_speedup": {a_speedup},
-    "engine_path_definition": "try_workload_sweep per point (warm schedule cache, stats-only) -- the PR-5 optimized_ms behavior"
+    "engine_path_definition": "try_workload_sweep_in per point (warm schedule cache, stats-only) -- the PR-5 optimized_ms behavior"
   }},
   "serving": {{
     "num_devices": {serving_devices},

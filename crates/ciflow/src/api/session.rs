@@ -389,21 +389,6 @@ impl JobOutput {
     pub fn bound_efficiency(&self) -> f64 {
         self.bound_analysis().efficiency(self.stats.runtime_seconds)
     }
-
-    /// The compact serializable summary used by the benchmark harnesses.
-    pub fn summary(&self) -> crate::runner::HksRunSummary {
-        crate::runner::HksRunSummary {
-            benchmark: self.benchmark.name,
-            dataflow: self.strategy.clone(),
-            bandwidth_gbps: self.rpu.dram_bandwidth_gbps,
-            modops: self.rpu.modops_multiplier,
-            evk_streamed: self.rpu.evk_policy == rpu::EvkPolicy::Streamed,
-            runtime_ms: self.stats.runtime_ms(),
-            compute_idle: self.stats.compute_idle_fraction(),
-            dram_mib: self.dram_mib(),
-            arithmetic_intensity: self.stats.arithmetic_intensity(),
-        }
-    }
 }
 
 /// One entry of a [`BatchOutcome`]: the job description plus its result.
@@ -672,9 +657,16 @@ impl Session {
     /// a failing (or even panicking) strategy produces an `Err` entry for its
     /// job and leaves the rest of the batch untouched.
     pub fn run(&self) -> BatchOutcome {
-        self.warm_schedule_cache();
-        let indexed: Vec<&Job> = self.jobs.iter().collect();
-        let results = crate::parallel::map(indexed, |job| JobResult {
+        self.run_batch(&self.jobs)
+    }
+
+    /// Executes `jobs` as one batch in this session — its registry, trace
+    /// mode and schedule cache — exactly as [`Session::run`] executes the
+    /// queued jobs. The sweeps run their points through this, so a plan the
+    /// caller already cached serves every point.
+    pub(crate) fn run_batch(&self, jobs: &[Job]) -> BatchOutcome {
+        self.warm_schedule_cache(jobs);
+        let results = crate::parallel::map(jobs.iter().collect(), |job: &Job| JobResult {
             label: self.job_label(job),
             benchmark: job.effective_benchmark(),
             strategy: job.strategy_name(),
@@ -684,17 +676,16 @@ impl Session {
     }
 
     /// Pre-builds the schedule template of every *distinct* [`ScheduleKey`]
-    /// in the queued batch (in parallel), so the subsequent fan-out hits the
-    /// cache instead of racing to build the same template on every worker.
-    /// Build and resolution failures are swallowed here — the owning job
+    /// in `jobs` (in parallel), so the subsequent fan-out hits the cache
+    /// instead of racing to build the same template on every worker. Build
+    /// and resolution failures are swallowed here — the owning job
     /// re-encounters them and reports them as its own result.
-    fn warm_schedule_cache(&self) {
+    fn warm_schedule_cache(&self, jobs: &[Job]) {
         if self.cache.is_none() {
             return;
         }
         let mut seen = std::collections::HashSet::new();
-        let distinct: Vec<&Job> = self
-            .jobs
+        let distinct: Vec<&Job> = jobs
             .iter()
             .filter(|job| {
                 let Ok(strategy) = self.job_strategy(job) else {
@@ -704,7 +695,7 @@ impl Session {
                 seen.insert(ScheduleKey::new(&strategy, &config, Self::work_key(job)))
             })
             .collect();
-        if distinct.len() > 1 || self.jobs.len() > distinct.len() {
+        if distinct.len() > 1 || jobs.len() > distinct.len() {
             crate::parallel::map(distinct, |job| {
                 let _ = catch_unwind(AssertUnwindSafe(|| self.plan_for(job)));
             });
@@ -726,6 +717,16 @@ impl Session {
             data_memory_bytes: rpu.vector_memory_bytes,
             evk_policy: rpu.evk_policy,
         }
+    }
+
+    /// The configuration a job executes on — its own, else the session's —
+    /// after [`RpuConfig::validate`]: a degenerate bandwidth or MODOPS
+    /// multiplier is a typed error here rather than a stalled engine later.
+    fn job_rpu<'a>(&'a self, job: &'a Job) -> Result<&'a RpuConfig, CiflowError> {
+        let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
+        rpu.validate()
+            .map_err(|message| CiflowError::InvalidConfig { message })?;
+        Ok(rpu)
     }
 
     /// The work half of a job's schedule key.
@@ -870,10 +871,12 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates strategy-resolution or schedule-construction failures.
+    /// Returns [`CiflowError::InvalidConfig`] for a configuration failing
+    /// [`RpuConfig::validate`], and propagates strategy-resolution or
+    /// schedule-construction failures.
     pub fn bounds_job(&self, job: &Job) -> Result<BoundAnalysis, CiflowError> {
+        let rpu = self.job_rpu(job)?;
         let plan = self.plan_for(job)?;
-        let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
         let engine = RpuEngine::new(rpu.clone())
             .with_channel_map(plan.channel_map(rpu.memory_channel_count()));
         Ok(engine.bounds(&plan.schedule.graph))
@@ -905,22 +908,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the job's [`CiflowError`] on strategy-resolution, schedule
-    /// construction, or execution failure.
+    /// Returns [`CiflowError::InvalidConfig`] for a configuration failing
+    /// [`RpuConfig::validate`], and the job's [`CiflowError`] on
+    /// strategy-resolution, schedule construction, or execution failure.
     pub fn run_job(&self, job: &Job) -> Result<JobOutput, CiflowError> {
-        self.run_job_with(job, self.trace)
-    }
-
-    /// [`Session::run_job`] with an explicit trace mode, overriding the
-    /// session's. Lets callers that always need a trace (the legacy
-    /// [`HksRun`](crate::runner::HksRun) path) avoid cloning the session
-    /// just to flip the mode.
-    pub(crate) fn run_job_with(
-        &self,
-        job: &Job,
-        trace_mode: TraceMode,
-    ) -> Result<JobOutput, CiflowError> {
-        let rpu = job.rpu.clone().unwrap_or_else(|| self.rpu.clone());
+        let rpu = self.job_rpu(job)?.clone();
         let plan = self.plan_for(job)?;
         // Channel-aware placement: the schedule's label-encoded channel
         // hints become the engine's buffer-to-channel map (a no-op for the
@@ -929,7 +921,7 @@ impl Session {
         // schedule no longer re-scan the graph per job.
         let engine = RpuEngine::new(rpu.clone())
             .with_channel_map(plan.channel_map(rpu.memory_channel_count()));
-        let (stats, trace) = match trace_mode {
+        let (stats, trace) = match self.trace {
             TraceMode::Full => {
                 let result = engine.execute(&plan.schedule.graph)?;
                 (result.stats, Some(result.trace))
@@ -961,7 +953,8 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`CiflowError::InvalidConfig`] for an invalid range
-    /// (non-finite, non-positive, or `lo > hi`), and otherwise propagates
+    /// (non-finite, non-positive, or `lo > hi`) or a configuration failing
+    /// [`RpuConfig::validate`], and otherwise propagates
     /// the same strategy-resolution, schedule-construction and engine errors
     /// as [`Session::run_job`].
     pub fn run_analytic(
@@ -978,7 +971,7 @@ impl Session {
                 ),
             });
         }
-        let rpu = job.rpu.clone().unwrap_or_else(|| self.rpu.clone());
+        let rpu = self.job_rpu(job)?.clone();
         let plan = self.plan_for(job)?;
         let timeline = plan.timeline(&rpu, lo_gbps, hi_gbps)?;
         Ok(AnalyticOutput {
@@ -1101,18 +1094,97 @@ mod tests {
         assert_eq!(output.strategy, "OC");
     }
 
+    /// Runtime (ms) of `benchmark` under `dataflow` on the paper's on-chip
+    /// RPU at `bandwidth_gbps`.
+    fn runtime_ms(
+        session: &Session,
+        benchmark: HksBenchmark,
+        dataflow: Dataflow,
+        bandwidth_gbps: f64,
+    ) -> f64 {
+        let job = Job::new(benchmark, dataflow)
+            .with_rpu(RpuConfig::ciflow_baseline().with_bandwidth(bandwidth_gbps));
+        session.run_job(&job).unwrap().runtime_ms()
+    }
+
     #[test]
-    fn single_job_matches_legacy_runner() {
-        let session = Session::new();
-        let output = session
+    fn ark_oc_runs_and_reports_sane_numbers() {
+        let output = Session::new()
+            .with_trace(TraceMode::Full)
             .run_one(HksBenchmark::ARK, Dataflow::OutputCentric)
             .unwrap();
-        let legacy = crate::runner::HksRun::new(HksBenchmark::ARK, Dataflow::OutputCentric)
-            .execute()
-            .unwrap();
-        assert_eq!(output.stats, legacy.stats);
-        assert_eq!(output.schedule, legacy.schedule);
+        assert!(output.runtime_ms() > 0.1);
+        assert!(output.runtime_ms() < 1000.0);
+        assert!(output.stats.total_ops > 0);
+        assert!(!output.trace.unwrap().records().is_empty());
+        assert_eq!(output.benchmark.name, "ARK");
         assert_eq!(output.strategy, "OC");
+        assert_eq!(output.rpu.evk_policy, EvkPolicy::OnChip);
+    }
+
+    #[test]
+    fn output_reports_the_configuration_the_job_ran_on() {
+        let rpu = RpuConfig::ciflow_streaming()
+            .with_bandwidth(25.6)
+            .with_modops(2.0);
+        let output = Session::new()
+            .run_job(&Job::new(HksBenchmark::DPRIVE, Dataflow::OutputCentric).with_rpu(rpu.clone()))
+            .unwrap();
+        assert_eq!(output.rpu, rpu);
+    }
+
+    #[test]
+    fn empty_registry_is_a_typed_error() {
+        let session = Session::new().with_registry(StrategyRegistry::empty());
+        let error = session
+            .run_job(&Job::new(HksBenchmark::ARK, Dataflow::OutputCentric))
+            .unwrap_err();
+        assert!(matches!(error, CiflowError::UnknownStrategy { .. }));
+    }
+
+    #[test]
+    fn oc_beats_mp_at_low_bandwidth() {
+        // The qualitative core of Figure 4: at DDR4-class bandwidth OC is
+        // substantially faster than MP.
+        let session = Session::new();
+        for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
+            let mp = runtime_ms(&session, benchmark, Dataflow::MaxParallel, 8.0);
+            let oc = runtime_ms(&session, benchmark, Dataflow::OutputCentric, 8.0);
+            assert!(
+                oc * 1.5 < mp,
+                "{}: OC {oc:.2} ms vs MP {mp:.2} ms at 8 GB/s",
+                benchmark.name
+            );
+        }
+    }
+
+    #[test]
+    fn dataflows_converge_at_very_high_bandwidth() {
+        // With 1 TB/s the kernel is compute bound and the dataflow no longer
+        // matters much (paper §IV: "with unlimited on-chip memory / high
+        // bandwidth the performance gap decreases significantly").
+        let session = Session::new();
+        let mp = runtime_ms(&session, HksBenchmark::ARK, Dataflow::MaxParallel, 1000.0);
+        let oc = runtime_ms(&session, HksBenchmark::ARK, Dataflow::OutputCentric, 1000.0);
+        let ratio = mp / oc;
+        assert!(
+            (0.8..=1.3).contains(&ratio),
+            "MP {mp:.3} ms vs OC {oc:.3} ms at 1 TB/s (ratio {ratio:.2})"
+        );
+    }
+
+    #[test]
+    fn runtime_decreases_with_bandwidth() {
+        let session = Session::new();
+        let mut last = f64::INFINITY;
+        for bw in [8.0, 16.0, 32.0, 64.0, 128.0] {
+            let t = runtime_ms(&session, HksBenchmark::DPRIVE, Dataflow::MaxParallel, bw);
+            assert!(
+                t <= last * 1.0001,
+                "runtime must not increase with bandwidth"
+            );
+            last = t;
+        }
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //!   descending-ℓ ladder of a real rescaling program), with chaining,
 //!   partial forwarding and traffic accounting re-derived at every kernel
 //!   boundary.
-//! * [`runner`] / [`sweep`] — the legacy single-run wrapper and the
-//!   `Session`-powered bandwidth / MODOPS / evk-placement / workload sweeps
-//!   behind Figures 4–9 and Tables IV–V.
+//! * [`sweep`] — the bandwidth / MODOPS / evk-placement / workload sweeps
+//!   behind Figures 4–9 and Tables IV–V, each running its points in the
+//!   caller's [`Session`].
 //! * [`serve`] — the fleet-scale serving simulator: seeded arrival
 //!   processes (open- and closed-loop) feeding mixed request classes to a
 //!   cluster of simulated RPUs under pluggable dispatch policies, reporting
@@ -127,7 +127,6 @@ pub mod hks_shape;
 pub mod lint;
 mod parallel;
 pub mod report;
-pub mod runner;
 pub mod schedule;
 pub mod serve;
 pub mod sweep;
@@ -142,7 +141,6 @@ pub use dataflow::Dataflow;
 pub use error::CiflowError;
 pub use hks_shape::{HksShape, HksStage};
 pub use lint::{lint_schedule, lint_with_config, lint_workload, LintConfig, LintReport};
-pub use runner::{HksRun, HksRunResult};
 pub use schedule::{build_schedule, Schedule, ScheduleConfig};
 pub use workload::{
     build_workload, KernelStep, PipelineMode, Workload, WorkloadSchedule, WorkloadStep,

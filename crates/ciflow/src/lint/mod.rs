@@ -50,6 +50,7 @@
 //! `docs/LINTS.md`.
 
 use crate::benchmark::HksBenchmark;
+use crate::report::json_escape;
 use crate::schedule::Schedule;
 use crate::workload::WorkloadSchedule;
 use rpu::{ChannelMap, RpuConfig, RpuEngine};
@@ -263,23 +264,6 @@ impl LintReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl std::fmt::Display for LintReport {

@@ -26,6 +26,28 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes and every control character. The workspace's serde is an
+/// offline marker shim, so the crate's JSON documents (lint, serving and
+/// resilience reports, the simulator perf report) are rendered by hand; this
+/// keeps them valid whatever names a caller gives its strategies, classes
+/// or workloads.
+pub fn json_escape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    for c in raw.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Renders the Table II analogue (DRAM traffic and arithmetic intensity).
 ///
 /// The strategy columns are derived from the rows in first-seen order, so
@@ -228,9 +250,10 @@ pub fn render_sweep_ascii(series: &[SweepSeries], width: usize, height: usize) -
 mod tests {
     use super::*;
     use crate::analysis::{table2_rows, table3_rows};
+    use crate::api::Session;
     use crate::benchmark::HksBenchmark;
     use crate::dataflow::Dataflow;
-    use crate::sweep::{bandwidth_sweep, SweepPoint};
+    use crate::sweep::{try_bandwidth_sweep_in, SweepPoint};
     use rpu::EvkPolicy;
 
     #[test]
@@ -276,13 +299,15 @@ mod tests {
 
     #[test]
     fn sweep_csv_has_header_and_rows() {
-        let s = bandwidth_sweep(
+        let s = try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::ARK,
             Dataflow::OutputCentric,
             &[8.0, 16.0],
             EvkPolicy::OnChip,
             1.0,
-        );
+        )
+        .expect("built-in dataflow sweeps are infallible");
         let csv = render_sweep_csv(std::slice::from_ref(&s));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

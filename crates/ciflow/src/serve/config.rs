@@ -77,8 +77,8 @@ impl ServeConfig {
     }
 
     /// Checks the configuration for structural problems that would otherwise
-    /// surface as panics deep inside the simulation (empty cluster,
-    /// non-finite or non-positive per-device bandwidth, empty mix,
+    /// surface as panics deep inside the simulation (empty cluster, a
+    /// per-device RPU failing [`RpuConfig::validate`], empty mix,
     /// degenerate weights, non-finite or non-positive arrival rate, zero
     /// clients, zero requests). Every rejection names the offending value.
     ///
@@ -91,11 +91,8 @@ impl ServeConfig {
         if self.cluster.num_devices == 0 {
             return invalid("serving cluster has zero devices".to_string());
         }
-        let bandwidth = self.cluster.rpu.dram_bandwidth_gbps;
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return invalid(format!(
-                "per-device DRAM bandwidth {bandwidth} GB/s is not finite and positive"
-            ));
+        if let Err(message) = self.cluster.rpu.validate() {
+            return invalid(format!("per-device {message}"));
         }
         if self.classes.is_empty() {
             return invalid("serving mix has zero request classes".to_string());

@@ -17,10 +17,10 @@
 //! same standard as the fault-free layer and property-tested in
 //! `tests/fault_tolerance.rs`:
 //!
-//! * **Zero-fault replay** — running [`try_fault_serve`] with
+//! * **Zero-fault replay** — running [`try_fault_serve_in`] with
 //!   [`FaultPlan::none`] produces a [`ResilienceReport`] whose embedded
-//!   [`ServeReport`] is bit-for-bit the report [`try_serve`](super::try_serve)
-//!   produces. The fault-free path *is* the faulted path with an empty
+//!   [`ServeReport`] is bit-for-bit the report
+//!   [`try_serve_in`](super::try_serve_in) produces. The fault-free path *is* the faulted path with an empty
 //!   plan; there is no second simulator to drift.
 //! * **Conservation** — every offered arrival is exactly one of
 //!   completed, timed-out, or shed:
@@ -265,7 +265,7 @@ impl FaultPlan {
     }
 
     /// Scales the plan's fault *intensity* by a non-negative factor — the
-    /// knob [`try_fault_sweep`](crate::sweep::try_fault_sweep) grids.
+    /// knob [`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in) grids.
     /// `Random` crash rates scale as `mtbf / intensity` (MTTR fixed), the
     /// transient failure rate scales linearly (clamped below 1), and
     /// intensity `0` removes every injected fault while keeping the
@@ -632,23 +632,6 @@ impl std::fmt::Display for ResilienceReport {
             self.mean_availability() * 100.0,
         )
     }
-}
-
-/// Runs one faulted serving simulation with the built-in strategy
-/// registry. Convenience wrapper over [`try_fault_serve_in`] with a fresh
-/// [`Session`].
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] when the configuration fails
-/// [`ServeConfig::validate`] or the plan fails [`FaultPlan::validate`],
-/// and propagates schedule-construction errors.
-pub fn try_fault_serve(
-    config: &ServeConfig,
-    plan: &FaultPlan,
-    strategy: impl Into<StrategySpec>,
-) -> Result<ResilienceReport, CiflowError> {
-    try_fault_serve_in(&Session::new(), config, plan, strategy)
 }
 
 /// Runs one faulted serving simulation inside an existing [`Session`]

@@ -27,15 +27,16 @@
 //! bit-reproducible function of the configuration and seed.
 //!
 //! ```
+//! use ciflow::api::Session;
 //! use ciflow::benchmark::HksBenchmark;
-//! use ciflow::serve::{try_serve, ArrivalProcess, RequestClass, ServeConfig};
+//! use ciflow::serve::{try_serve_in, ArrivalProcess, RequestClass, ServeConfig};
 //!
 //! let config = ServeConfig::new(
 //!     4,
 //!     RequestClass::standard_mix(HksBenchmark::ARK),
 //!     ArrivalProcess::ClosedLoop { concurrency: 8, requests: 64 },
 //! );
-//! let report = try_serve(&config, "OC").unwrap();
+//! let report = try_serve_in(&Session::new(), &config, "OC").unwrap();
 //! assert_eq!(report.completed, 64);
 //! assert!(report.throughput_rps > 0.0);
 //! ```
@@ -45,13 +46,13 @@
 //! seeded device crashes and restarts, bandwidth-degradation windows,
 //! transient per-attempt failures — handled by deadlines, capped-backoff
 //! retries, crash failover, and admission control with graceful
-//! degradation. [`try_fault_serve`] returns a [`ResilienceReport`]; a
+//! degradation. [`try_fault_serve_in`] returns a [`ResilienceReport`]; a
 //! zero-fault plan replays the plain [`ServeReport`] bit-for-bit.
 //!
 //! See `docs/SERVING.md` for the model in depth, and
-//! [`try_serve_sweep`](crate::sweep::try_serve_sweep) /
-//! [`try_fault_sweep`](crate::sweep::try_fault_sweep) for sweeping cluster
-//! size, bandwidth, and fault intensity in one call.
+//! [`try_serve_sweep_in`](crate::sweep::try_serve_sweep_in) /
+//! [`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in) for sweeping
+//! cluster size, bandwidth, and fault intensity in one call.
 
 mod arrival;
 mod config;
@@ -66,8 +67,8 @@ pub use config::{ClusterConfig, ServeConfig};
 pub use dispatch::DispatchPolicy;
 pub(crate) use fault::{degraded_service_rows, resilience_with_service_times, ServiceTable};
 pub use fault::{
-    try_fault_serve, try_fault_serve_in, AdmissionPolicy, CrashEvent, CrashPlan, DegradeWindow,
-    DeviceAvailability, FaultPlan, ResilienceReport, RetryPolicy,
+    try_fault_serve_in, AdmissionPolicy, CrashEvent, CrashPlan, DegradeWindow, DeviceAvailability,
+    FaultPlan, ResilienceReport, RetryPolicy,
 };
 pub use report::{
     ClassUsage, DeviceUsage, LatencySummary, QueueSummary, RequestRecord, ServeReport,
@@ -76,24 +77,6 @@ pub use request::{ClassWork, RequestClass};
 
 use crate::api::{Session, StrategySpec};
 use crate::error::CiflowError;
-
-/// Runs one serving simulation with the built-in strategy registry.
-///
-/// Convenience wrapper over [`try_serve_in`] with a fresh [`Session`]; when
-/// running many configurations (or a sweep) share one session so class
-/// schedules are built once.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] when the configuration fails
-/// [`ServeConfig::validate`], or any error the underlying schedule
-/// construction reports.
-pub fn try_serve(
-    config: &ServeConfig,
-    strategy: impl Into<StrategySpec>,
-) -> Result<ServeReport, CiflowError> {
-    try_serve_in(&Session::new(), config, strategy)
-}
 
 /// Runs one serving simulation inside an existing [`Session`] (custom
 /// strategy registries, shared schedule cache).
@@ -170,7 +153,7 @@ mod tests {
                 requests: 24,
             },
         );
-        let report = try_serve(&config, "OC").expect("serving run succeeds");
+        let report = try_serve_in(&Session::new(), &config, "OC").expect("serving run succeeds");
         assert_eq!(report.completed, 24);
         assert_eq!(report.records.len(), 24);
         assert_eq!(report.devices.len(), 2);
@@ -187,6 +170,34 @@ mod tests {
     }
 
     #[test]
+    fn json_reports_escape_control_characters_in_class_names() {
+        // Regression: the serving reports used an escaper that only handled
+        // `\` and `"`, so a raw newline in a class name broke the JSON.
+        let mut classes = RequestClass::standard_mix(HksBenchmark::ARK);
+        classes[0].name = "a\nb\u{1}".to_string();
+        let config = ServeConfig::new(
+            2,
+            classes,
+            ArrivalProcess::ClosedLoop {
+                concurrency: 2,
+                requests: 8,
+            },
+        );
+        let session = Session::new();
+        let serve = try_serve_in(&session, &config, "OC").unwrap().to_json();
+        let resilience = try_fault_serve_in(&session, &config, &FaultPlan::none(), "OC")
+            .unwrap()
+            .to_json();
+        for json in [serve, resilience] {
+            assert!(
+                !json.chars().any(char::is_control),
+                "raw control character in {json}"
+            );
+            assert!(json.contains(r#""name":"a\nb\u0001""#), "{json}");
+        }
+    }
+
+    #[test]
     fn invalid_configs_error_before_any_execution() {
         let config = ServeConfig::new(
             0,
@@ -197,7 +208,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            try_serve(&config, "OC"),
+            try_serve_in(&Session::new(), &config, "OC"),
             Err(CiflowError::InvalidConfig { .. })
         ));
     }
@@ -275,7 +286,8 @@ mod tests {
                 },
             )
             .with_policy(policy);
-            let report = try_serve(&config, "OC").expect("serving run succeeds");
+            let report =
+                try_serve_in(&Session::new(), &config, "OC").expect("serving run succeeds");
             assert_eq!(report.completed, 16, "policy {policy} completes the run");
         }
     }

@@ -2,6 +2,7 @@
 //! depths, and per-device / per-class usage.
 
 use super::dispatch::DispatchPolicy;
+use crate::report::json_escape;
 use serde::Serialize;
 
 /// One served request, in issue order. Latency is defined as
@@ -199,11 +200,6 @@ impl ServeReport {
             self.queue.mean_depth,
         )
     }
-}
-
-/// Escapes a string for embedding in the hand-rolled JSON documents.
-pub(crate) fn json_escape(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl std::fmt::Display for ServeReport {

@@ -1,14 +1,16 @@
 //! Parameter sweeps: the drivers behind Figures 4–9 and Tables IV–V.
 //!
-//! Every sweep is built on the [`Session`] batch API:
-//! the sampled points become jobs, the batch fans out across all cores, and
-//! failures surface as typed [`CiflowError`]s instead of panics. The
-//! historical panicking entry points (`bandwidth_sweep`, `runtime_with`, …)
-//! remain as thin wrappers over the `try_*` functions — the built-in
-//! strategies never fail, so the wrappers only panic on a genuine simulator
-//! bug. Sweeps also accept *custom* strategies: pass an inline
-//! [`StrategySpec`], or resolve a registered name through your own session
-//! with [`try_bandwidth_sweep_in`].
+//! Every sweep runs in the [`Session`] it is given: the sampled points
+//! become one batch of jobs in that session, fanned out across all cores.
+//! The session's registry resolves strategy names — so a strategy
+//! registered with [`Session::register`] sweeps by name, and any strategy
+//! sweeps inline as a [`StrategySpec`] — and its schedule cache serves
+//! every point, so a plan the caller already built is not built again.
+//! Failures surface as typed [`CiflowError`]s instead of panics.
+//!
+//! The paper-table helpers ([`table4_rows`], [`table5_rows`],
+//! [`equivalent_configs`], …) run the built-in dataflows only, which never
+//! fail; they panic only on a genuine simulator bug.
 
 use crate::api::{Job, Session, StrategySpec};
 use crate::benchmark::HksBenchmark;
@@ -67,42 +69,14 @@ fn sweep_rpu(evk_policy: EvkPolicy, bandwidth_gbps: f64, modops: f64) -> RpuConf
         .with_modops(modops)
 }
 
-/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) for a built-in
-/// or [inline](StrategySpec::Inline) strategy, executing all points as one
-/// parallel batch. Names are resolved against the *built-in* registry — to
-/// sweep a strategy registered in your own session, use
-/// [`try_bandwidth_sweep_in`].
+/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) in `session`,
+/// executing all points as one parallel batch. Each point runs on the
+/// paper's RPU for `evk_policy` at its own bandwidth.
 ///
 /// # Errors
 ///
 /// Returns the first failing point's [`CiflowError`] (unknown strategy,
-/// schedule failure, engine rejection).
-pub fn try_bandwidth_sweep(
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> Result<SweepSeries, CiflowError> {
-    try_bandwidth_sweep_in(
-        &Session::new(),
-        benchmark,
-        strategy,
-        bandwidths,
-        evk_policy,
-        modops,
-    )
-}
-
-/// [`try_bandwidth_sweep`] resolving strategy names through `session`'s
-/// registry, so custom strategies registered with
-/// [`Session::register`](crate::api::Session::register) can be swept by name.
-/// Only the registry is taken from `session`; each point runs on the paper's
-/// RPU for `evk_policy` at its own bandwidth.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
+/// schedule failure, invalid bandwidth, engine rejection).
 pub fn try_bandwidth_sweep_in(
     session: &Session,
     benchmark: HksBenchmark,
@@ -123,8 +97,7 @@ pub fn try_bandwidth_sweep_in(
 }
 
 /// Shared core of the bandwidth sweeps: runs one job per bandwidth point as a
-/// parallel batch (resolving names through `session`'s registry) and
-/// assembles the [`SweepSeries`].
+/// parallel batch in `session` and assembles the [`SweepSeries`].
 fn sweep_series(
     session: &Session,
     benchmark: &'static str,
@@ -134,14 +107,11 @@ fn sweep_series(
     modops: f64,
     job: impl Fn(StrategySpec) -> Job,
 ) -> Result<SweepSeries, CiflowError> {
-    let sweep_session = Session::new()
-        .with_registry(session.registry().clone())
-        .jobs(
-            bandwidths
-                .iter()
-                .map(|&bw| job(spec.clone()).with_rpu(sweep_rpu(evk_policy, bw, modops))),
-        );
-    let outputs = sweep_session.run().into_outputs()?;
+    let jobs: Vec<Job> = bandwidths
+        .iter()
+        .map(|&bw| job(spec.clone()).with_rpu(sweep_rpu(evk_policy, bw, modops)))
+        .collect();
+    let outputs = session.run_batch(&jobs).into_outputs()?;
     let dataflow = outputs
         .first()
         .map(|o| o.strategy.clone())
@@ -164,35 +134,9 @@ fn sweep_series(
 }
 
 /// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
-/// (fused or back-to-back), executing all points as one parallel batch.
-/// Strategy names resolve against the built-in registry — use
-/// [`try_workload_sweep_in`] for custom registries.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
-pub fn try_workload_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    mode: PipelineMode,
-) -> Result<SweepSeries, CiflowError> {
-    try_workload_sweep_in(
-        &Session::new(),
-        workload,
-        strategy,
-        bandwidths,
-        evk_policy,
-        modops,
-        mode,
-    )
-}
-
-/// [`try_workload_sweep`] resolving strategy names through `session`'s
-/// registry. Only the registry is taken from `session`; each point runs on
-/// the paper's RPU for `evk_policy` at its own bandwidth.
+/// (fused or back-to-back) in `session`, executing all points as one
+/// parallel batch. Each point runs on the paper's RPU for `evk_policy` at
+/// its own bandwidth.
 ///
 /// # Errors
 ///
@@ -259,7 +203,7 @@ fn analytic_range(bandwidths: &[f64], context: &str) -> Result<(f64, f64), Ciflo
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyticSweep {
     /// The evaluated series — same shape and bit-identical runtimes as
-    /// [`try_workload_sweep`] over the same ladder.
+    /// [`try_workload_sweep_in`] over the same ladder.
     pub series: SweepSeries,
     /// Number of event-order segments the timeline stitched together over
     /// the ladder's bandwidth range.
@@ -286,37 +230,8 @@ pub struct AnalyticSweep {
 /// Runs a runtime-vs-bandwidth sweep of a [`Workload`] pipeline in closed
 /// form: one symbolic execution covers the ladder's whole bandwidth range,
 /// and each point is an interval lookup plus an affine replay — no event
-/// loop per point. Results are bit-identical to [`try_workload_sweep`].
-/// Strategy names resolve against the built-in registry — use
-/// [`try_analytic_sweep_in`] for custom registries.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty ladder or a
-/// non-finite/non-positive bandwidth (see [`try_analytic_sweep_in`] for the
-/// full ladder semantics), and otherwise propagates the same errors as
-/// [`try_workload_sweep`].
-pub fn try_analytic_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    mode: PipelineMode,
-) -> Result<AnalyticSweep, CiflowError> {
-    try_analytic_sweep_in(
-        &Session::new(),
-        workload,
-        strategy,
-        bandwidths,
-        evk_policy,
-        modops,
-        mode,
-    )
-}
-
-/// [`try_analytic_sweep`] resolving strategy names through `session`'s
-/// registry and reusing its schedule **and timeline** caches: repeating a
+/// loop per point. Results are bit-identical to [`try_workload_sweep_in`].
+/// The schedule **and timeline** come from `session`'s caches: repeating a
 /// sweep (or sweeping a different ladder inside the same bandwidth range)
 /// re-uses the cached [`ParametricTimeline`](rpu::ParametricTimeline)
 /// outright.
@@ -385,33 +300,17 @@ pub fn try_analytic_sweep_in(
     })
 }
 
-/// The closed-form counterpart of [`try_heterogeneous_sweep`]: both pipeline
-/// modes of a heterogeneous workload are executed symbolically once, and the
-/// whole ladder is evaluated from the two timelines — bit-identical to the
-/// engine path. Strategy names resolve against the built-in registry — use
-/// [`try_heterogeneous_analytic_sweep_in`] for custom registries.
+/// The closed-form counterpart of [`try_heterogeneous_sweep_in`]: both
+/// pipeline modes of a heterogeneous workload are executed symbolically
+/// once (through `session`'s schedule and timeline caches), and the whole
+/// ladder is evaluated from the two timelines — bit-identical to the
+/// engine path.
 ///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] for a degenerate ladder (see
 /// [`try_analytic_sweep_in`]) or a workload with no kernel invocations, or
 /// the first failing point's error.
-pub fn try_heterogeneous_analytic_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-) -> Result<HeterogeneousSweep, CiflowError> {
-    try_heterogeneous_analytic_sweep_in(&Session::new(), workload, strategy, bandwidths, evk_policy)
-}
-
-/// [`try_heterogeneous_analytic_sweep`] resolving strategy names through
-/// `session`'s registry and reusing its schedule and timeline caches.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for a degenerate ladder, or the
-/// first failing point's error.
 pub fn try_heterogeneous_analytic_sweep_in(
     session: &Session,
     workload: &Workload,
@@ -484,31 +383,14 @@ pub struct HeterogeneousSweep {
 
 /// Runs a heterogeneous [`Workload`] pipeline (per-step parameter points,
 /// e.g. [`Workload::rescaling_chain`]) across a bandwidth ladder, fused and
-/// back-to-back, as one parallel batch. Strategy names resolve against the
-/// built-in registry — use [`try_heterogeneous_sweep_in`] for custom
-/// registries.
+/// back-to-back, as one parallel batch in `session`. Each point runs on the
+/// paper's RPU for `evk_policy` at its own bandwidth.
 ///
 /// # Errors
 ///
 /// Returns the first failing point's [`CiflowError`] — including
 /// [`CiflowError::InvalidConfig`] for a workload with no kernel
 /// invocations.
-pub fn try_heterogeneous_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-) -> Result<HeterogeneousSweep, CiflowError> {
-    try_heterogeneous_sweep_in(&Session::new(), workload, strategy, bandwidths, evk_policy)
-}
-
-/// [`try_heterogeneous_sweep`] resolving strategy names through `session`'s
-/// registry. Only the registry is taken from `session`; each point runs on
-/// the paper's RPU for `evk_policy` at its own bandwidth.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
 pub fn try_heterogeneous_sweep_in(
     session: &Session,
     workload: &Workload,
@@ -517,15 +399,16 @@ pub fn try_heterogeneous_sweep_in(
     evk_policy: EvkPolicy,
 ) -> Result<HeterogeneousSweep, CiflowError> {
     let spec: StrategySpec = strategy.into();
-    let sweep_session = Session::new()
-        .with_registry(session.registry().clone())
-        .jobs(bandwidths.iter().flat_map(|&bw| {
+    let jobs: Vec<Job> = bandwidths
+        .iter()
+        .flat_map(|&bw| {
             [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
                 Job::workload(workload.clone(), spec.clone(), mode)
                     .with_rpu(sweep_rpu(evk_policy, bw, 1.0))
             })
-        }));
-    let outputs = sweep_session.run().into_outputs()?;
+        })
+        .collect();
+    let outputs = session.run_batch(&jobs).into_outputs()?;
     let dataflow = outputs
         .first()
         .map(|o| o.strategy.clone())
@@ -614,71 +497,45 @@ pub fn try_channel_sweep(
         .collect())
 }
 
-/// Runs a runtime-vs-bandwidth sweep for a built-in dataflow.
+/// Runtime (ms) of `benchmark` under a built-in `dataflow` in `session`, on
+/// the paper's RPU for `evk_policy` at `bandwidth_gbps` and `modops`.
 ///
 /// # Panics
 ///
-/// Panics if a schedule cannot be executed (a simulator bug).
-pub fn bandwidth_sweep(
-    benchmark: HksBenchmark,
-    dataflow: Dataflow,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> SweepSeries {
-    try_bandwidth_sweep(benchmark, dataflow, bandwidths, evk_policy, modops)
-        .expect("built-in dataflow sweeps are infallible")
-}
-
-/// Runtime of one configuration with an explicit MODOPS multiplier.
-///
-/// # Errors
-///
-/// Returns a [`CiflowError`] if the strategy is unknown or the schedule
-/// cannot be built or executed.
-pub fn try_runtime_with(
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    bandwidth_gbps: f64,
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> Result<f64, CiflowError> {
-    let output = Session::new()
-        .with_rpu(sweep_rpu(evk_policy, bandwidth_gbps, modops))
-        .run_one(benchmark, strategy)?;
-    Ok(output.runtime_ms())
-}
-
-/// Runtime of one configuration with an explicit MODOPS multiplier.
-///
-/// # Panics
-///
-/// Panics if the generated schedule cannot be executed (a simulator bug).
-pub fn runtime_with(
+/// Panics if the run fails — the built-in dataflows never do, barring a
+/// simulator bug.
+fn builtin_runtime_ms(
+    session: &Session,
     benchmark: HksBenchmark,
     dataflow: Dataflow,
     bandwidth_gbps: f64,
     evk_policy: EvkPolicy,
     modops: f64,
 ) -> f64 {
-    try_runtime_with(benchmark, dataflow, bandwidth_gbps, evk_policy, modops)
+    let job = Job::new(benchmark, dataflow).with_rpu(sweep_rpu(evk_policy, bandwidth_gbps, modops));
+    session
+        .run_job(&job)
         .expect("built-in dataflow runs are infallible")
+        .runtime_ms()
 }
 
 /// The paper's baseline runtime for a benchmark: MP with evks on-chip at
 /// 64 GB/s.
 pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
-    crate::runner::runtime_ms(
+    builtin_runtime_ms(
+        &Session::new(),
         benchmark,
         Dataflow::MaxParallel,
         BASELINE_BANDWIDTH_GBPS,
         EvkPolicy::OnChip,
+        1.0,
     )
 }
 
 /// Finds the minimum bandwidth (by bisection, within `[lo, hi]` GB/s) at
 /// which the configuration achieves `target_ms` or better. Returns `hi` if
-/// even the upper bound cannot reach the target.
+/// even the upper bound cannot reach the target. Every probe runs in one
+/// session, so the schedule is built once for the whole bisection.
 ///
 /// # Errors
 ///
@@ -692,8 +549,12 @@ pub fn try_min_bandwidth_for_runtime(
     lo: f64,
     hi: f64,
 ) -> Result<f64, CiflowError> {
+    let session = Session::new();
     let spec: StrategySpec = strategy.into();
-    let probe = |bw: f64| try_runtime_with(benchmark, spec.clone(), bw, evk_policy, modops);
+    let probe = |bw: f64| -> Result<f64, CiflowError> {
+        let job = Job::new(benchmark, spec.clone()).with_rpu(sweep_rpu(evk_policy, bw, modops));
+        Ok(session.run_job(&job)?.runtime_ms())
+    };
     let mut lo = lo;
     let mut hi = hi;
     if probe(hi)? > target_ms {
@@ -714,23 +575,6 @@ pub fn try_min_bandwidth_for_runtime(
         }
     }
     Ok(hi)
-}
-
-/// Bisection for the minimum bandwidth reaching `target_ms` (built-in
-/// dataflows; panics on simulator bugs). See
-/// [`try_min_bandwidth_for_runtime`].
-#[allow(clippy::too_many_arguments)]
-pub fn min_bandwidth_for_runtime(
-    benchmark: HksBenchmark,
-    dataflow: Dataflow,
-    evk_policy: EvkPolicy,
-    modops: f64,
-    target_ms: f64,
-    lo: f64,
-    hi: f64,
-) -> f64 {
-    try_min_bandwidth_for_runtime(benchmark, dataflow, evk_policy, modops, target_ms, lo, hi)
-        .expect("built-in dataflow bisections are infallible")
 }
 
 /// One row of the Table IV analogue.
@@ -754,7 +598,11 @@ pub struct OcBaseRow {
 /// OC (evks on-chip) matches the MP baseline at 64 GB/s, the bandwidth
 /// saving, and the OC-vs-MP speedup at that point.
 pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
-    let baseline = baseline_runtime_ms(benchmark);
+    let session = Session::new();
+    let runtime = |dataflow: Dataflow, bw: f64| {
+        builtin_runtime_ms(&session, benchmark, dataflow, bw, EvkPolicy::OnChip, 1.0)
+    };
+    let baseline = runtime(Dataflow::MaxParallel, BASELINE_BANDWIDTH_GBPS);
     // The paper picks OCbase from the discrete ladder; do the same so the
     // "saved bandwidth" factors are comparable.
     let mut ocbase = BASELINE_BANDWIDTH_GBPS;
@@ -762,32 +610,13 @@ pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
         if bw > BASELINE_BANDWIDTH_GBPS {
             break;
         }
-        if runtime_with(
-            benchmark,
-            Dataflow::OutputCentric,
-            bw,
-            EvkPolicy::OnChip,
-            1.0,
-        ) <= baseline
-        {
+        if runtime(Dataflow::OutputCentric, bw) <= baseline {
             ocbase = bw;
             break;
         }
     }
-    let oc_ms = runtime_with(
-        benchmark,
-        Dataflow::OutputCentric,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    let mp_ms = runtime_with(
-        benchmark,
-        Dataflow::MaxParallel,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
+    let oc_ms = runtime(Dataflow::OutputCentric, ocbase);
+    let mp_ms = runtime(Dataflow::MaxParallel, ocbase);
     OcBaseRow {
         benchmark: benchmark.name,
         ocbase_gbps: ocbase,
@@ -823,15 +652,9 @@ pub struct StreamingEquivalenceRow {
 
 /// Computes the Figure 7 analogue for one benchmark.
 pub fn streaming_equivalence_row(benchmark: HksBenchmark) -> StreamingEquivalenceRow {
-    let ocbase = ocbase_row(benchmark).ocbase_gbps;
-    let on_chip_ms = runtime_with(
-        benchmark,
-        Dataflow::OutputCentric,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    let equivalent = min_bandwidth_for_runtime(
+    let row = ocbase_row(benchmark);
+    let (ocbase, on_chip_ms) = (row.ocbase_gbps, row.oc_ms);
+    let equivalent = try_min_bandwidth_for_runtime(
         benchmark,
         Dataflow::OutputCentric,
         EvkPolicy::Streamed,
@@ -839,7 +662,8 @@ pub fn streaming_equivalence_row(benchmark: HksBenchmark) -> StreamingEquivalenc
         on_chip_ms,
         ocbase,
         1024.0,
-    );
+    )
+    .expect("built-in dataflow bisections are infallible");
     let on_chip = RpuConfig::ciflow_baseline();
     let streaming = RpuConfig::ciflow_streaming();
     StreamingEquivalenceRow {
@@ -871,7 +695,8 @@ pub struct SaturationRow {
 /// MODOPS) no longer improves — the paper identifies 128 GB/s.
 pub fn ark_saturation_point() -> (f64, f64) {
     let bw = 128.0;
-    let runtime = runtime_with(
+    let runtime = builtin_runtime_ms(
+        &Session::new(),
         HksBenchmark::ARK,
         Dataflow::OutputCentric,
         bw,
@@ -898,7 +723,7 @@ pub fn table5_rows() -> Vec<SaturationRow> {
             ("MP", Dataflow::MaxParallel),
         ],
         |(label, dataflow)| {
-            let bw = min_bandwidth_for_runtime(
+            let bw = try_min_bandwidth_for_runtime(
                 HksBenchmark::ARK,
                 dataflow,
                 EvkPolicy::OnChip,
@@ -906,7 +731,8 @@ pub fn table5_rows() -> Vec<SaturationRow> {
                 sat_runtime,
                 4.0,
                 1024.0,
-            );
+            )
+            .expect("built-in dataflow bisections are infallible");
             SaturationRow {
                 label,
                 bandwidth_gbps: bw,
@@ -922,13 +748,15 @@ pub fn table5_rows() -> Vec<SaturationRow> {
 /// A MODOPS sweep series (one Figure 8 curve): runtime vs bandwidth at a
 /// fixed MODOPS multiplier for ARK under OC with evks on-chip.
 pub fn modops_sweep(benchmark: HksBenchmark, modops: f64, bandwidths: &[f64]) -> SweepSeries {
-    bandwidth_sweep(
+    try_bandwidth_sweep_in(
+        &Session::new(),
         benchmark,
         Dataflow::OutputCentric,
         bandwidths,
         EvkPolicy::OnChip,
         modops,
     )
+    .expect("built-in dataflow sweeps are infallible")
 }
 
 /// One point of the Figure 9 analogue: a `(bandwidth, MODOPS)` pair that
@@ -951,7 +779,7 @@ pub fn equivalent_configs(
 ) -> Vec<EquivalentConfig> {
     crate::parallel::map(modops_ladder.to_vec(), |m| EquivalentConfig {
         modops: m,
-        bandwidth_gbps: min_bandwidth_for_runtime(
+        bandwidth_gbps: try_min_bandwidth_for_runtime(
             benchmark,
             Dataflow::OutputCentric,
             EvkPolicy::Streamed,
@@ -959,7 +787,8 @@ pub fn equivalent_configs(
             target_ms,
             2.0,
             1024.0,
-        ),
+        )
+        .expect("built-in dataflow bisections are infallible"),
     })
 }
 
@@ -1006,30 +835,12 @@ pub struct ServeSweep {
 /// the request mix, arrival process, dispatch policy and seed of `base`
 /// fixed. `base.cluster.num_devices` and the per-device bandwidth are
 /// overridden at every point; everything else (including the rest of the
-/// RPU configuration) is taken from `base`. Strategy names resolve against
-/// the built-in registry — use [`try_serve_sweep_in`] for custom registries.
+/// RPU configuration) is taken from `base`. The request-class schedules
+/// come from `session`'s cache and are shared by every point of the sweep
+/// (bandwidth is not part of the schedule cache key).
 ///
 /// Every point re-seeds its arrival process from `base.seed`, so the sweep
 /// is bit-reproducible and two calls with equal inputs compare equal.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty size or bandwidth
-/// ladder, or the first failing point's error (invalid configuration,
-/// unknown strategy, schedule failure).
-pub fn try_serve_sweep(
-    base: &ServeConfig,
-    strategy: impl Into<StrategySpec>,
-    cluster_sizes: &[usize],
-    bandwidths: &[f64],
-) -> Result<ServeSweep, CiflowError> {
-    try_serve_sweep_in(&Session::new(), base, strategy, cluster_sizes, bandwidths)
-}
-
-/// [`try_serve_sweep`] resolving strategy names through `session`'s registry
-/// and reusing its schedule cache — the request-class schedules are built
-/// once and shared by every point of the sweep (bandwidth is not part of
-/// the schedule cache key).
 ///
 /// Service times are measured *symbolically*: each request class is executed
 /// once as a [`ParametricTimeline`](rpu::ParametricTimeline) covering the
@@ -1179,8 +990,11 @@ pub struct FaultSweep {
 /// fixed. Each point runs `base_plan.scaled(intensity)` (see
 /// [`FaultPlan::scaled`]: random crash rates and the transient-failure
 /// rate scale; intensity `0` is the fault-free bound with the handling
-/// policies still on). Strategy names resolve against the built-in
-/// registry — use [`try_fault_sweep_in`] for custom registries.
+/// policies still on). Class schedules come from `session`'s cache.
+/// Baseline service times are measured once per class through the engine
+/// (exactly as [`try_fault_serve_in`](crate::serve::try_fault_serve_in)
+/// measures them) and degraded rows once per class through the parametric
+/// timelines; the whole grid replays those tables.
 ///
 /// # Errors
 ///
@@ -1188,34 +1002,6 @@ pub struct FaultSweep {
 /// ladder, a non-finite/negative intensity, or the first failing point's
 /// error (e.g. a scripted crash or degradation window targeting a device
 /// a smaller cluster does not have).
-pub fn try_fault_sweep(
-    base: &ServeConfig,
-    base_plan: &FaultPlan,
-    strategy: impl Into<StrategySpec>,
-    intensities: &[f64],
-    cluster_sizes: &[usize],
-) -> Result<FaultSweep, CiflowError> {
-    try_fault_sweep_in(
-        &Session::new(),
-        base,
-        base_plan,
-        strategy,
-        intensities,
-        cluster_sizes,
-    )
-}
-
-/// [`try_fault_sweep`] resolving strategy names through `session`'s
-/// registry and reusing its schedule cache. Baseline service times are
-/// measured once per class through the engine (exactly as
-/// [`try_fault_serve_in`](crate::serve::try_fault_serve_in) measures them)
-/// and degraded rows once per class through the parametric timelines; the
-/// whole grid replays those tables.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty or invalid ladder,
-/// or the first failing point's error.
 pub fn try_fault_sweep_in(
     session: &Session,
     base: &ServeConfig,
@@ -1371,13 +1157,15 @@ mod tests {
 
     #[test]
     fn sweep_series_is_monotone() {
-        let series = bandwidth_sweep(
+        let series = try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::DPRIVE,
             Dataflow::OutputCentric,
             &[8.0, 16.0, 32.0, 64.0],
             EvkPolicy::OnChip,
             1.0,
-        );
+        )
+        .expect("built-in dataflow sweeps are infallible");
         assert_eq!(series.points.len(), 4);
         for w in series.points.windows(2) {
             assert!(w[1].runtime_ms <= w[0].runtime_ms * 1.0001);
@@ -1388,7 +1176,8 @@ mod tests {
     fn workload_sweep_is_monotone_and_fused_dominates() {
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 4);
         let bandwidths = [8.0, 16.0, 32.0];
-        let fused = try_workload_sweep(
+        let fused = try_workload_sweep_in(
+            &Session::new(),
             &workload,
             Dataflow::OutputCentric,
             &bandwidths,
@@ -1397,7 +1186,8 @@ mod tests {
             PipelineMode::Fused,
         )
         .unwrap();
-        let unfused = try_workload_sweep(
+        let unfused = try_workload_sweep_in(
+            &Session::new(),
             &workload,
             Dataflow::OutputCentric,
             &bandwidths,
@@ -1421,7 +1211,8 @@ mod tests {
         // Unsorted with a duplicate: evaluated pointwise, in order.
         let ladder = [64.0, 8.0, 16.0, 8.0, 128.0];
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-            let engine = try_workload_sweep(
+            let engine = try_workload_sweep_in(
+                &Session::new(),
                 &workload,
                 Dataflow::OutputCentric,
                 &ladder,
@@ -1430,7 +1221,8 @@ mod tests {
                 mode,
             )
             .unwrap();
-            let analytic = try_analytic_sweep(
+            let analytic = try_analytic_sweep_in(
+                &Session::new(),
                 &workload,
                 Dataflow::OutputCentric,
                 &ladder,
@@ -1477,10 +1269,16 @@ mod tests {
     fn heterogeneous_analytic_sweep_matches_the_engine_path() {
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
         let ladder = [8.0, 16.0, 64.0];
-        let engine =
-            try_heterogeneous_sweep(&chain, Dataflow::OutputCentric, &ladder, EvkPolicy::OnChip)
-                .unwrap();
-        let analytic = try_heterogeneous_analytic_sweep(
+        let engine = try_heterogeneous_sweep_in(
+            &Session::new(),
+            &chain,
+            Dataflow::OutputCentric,
+            &ladder,
+            EvkPolicy::OnChip,
+        )
+        .unwrap();
+        let analytic = try_heterogeneous_analytic_sweep_in(
+            &Session::new(),
             &chain,
             Dataflow::OutputCentric,
             &ladder,
@@ -1503,7 +1301,8 @@ mod tests {
     fn analytic_sweep_rejects_degenerate_ladders() {
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
         let run = |ladder: &[f64]| {
-            try_analytic_sweep(
+            try_analytic_sweep_in(
+                &Session::new(),
                 &workload,
                 Dataflow::OutputCentric,
                 ladder,
@@ -1530,7 +1329,8 @@ mod tests {
         let single = run(&[25.6]).unwrap();
         assert_eq!(single.series.points.len(), 1);
         assert!(single.breakpoints_gbps.is_empty());
-        let engine = try_workload_sweep(
+        let engine = try_workload_sweep_in(
+            &Session::new(),
             &workload,
             Dataflow::OutputCentric,
             &[25.6],
@@ -1580,7 +1380,8 @@ mod tests {
     #[test]
     fn heterogeneous_sweep_reports_the_ladder_and_forwarding() {
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
-        let sweep = try_heterogeneous_sweep(
+        let sweep = try_heterogeneous_sweep_in(
+            &Session::new(),
             &chain,
             Dataflow::OutputCentric,
             &[8.0, 16.0],
@@ -1597,14 +1398,21 @@ mod tests {
         // An empty workload surfaces the typed error instead of a panic.
         let empty = Workload::new("empty", HksBenchmark::ARK);
         assert!(matches!(
-            try_heterogeneous_sweep(&empty, Dataflow::OutputCentric, &[8.0], EvkPolicy::OnChip),
+            try_heterogeneous_sweep_in(
+                &Session::new(),
+                &empty,
+                Dataflow::OutputCentric,
+                &[8.0],
+                EvkPolicy::OnChip
+            ),
             Err(crate::error::CiflowError::InvalidConfig { .. })
         ));
     }
 
     #[test]
     fn workload_sweep_reports_unknown_strategies() {
-        let result = try_workload_sweep(
+        let result = try_workload_sweep_in(
+            &Session::new(),
             &Workload::rotation_batch(HksBenchmark::ARK, 2),
             "not-a-strategy",
             &[8.0],
@@ -1620,7 +1428,8 @@ mod tests {
 
     #[test]
     fn try_sweep_reports_unknown_strategies() {
-        let result = try_bandwidth_sweep(
+        let result = try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::ARK,
             "not-a-strategy",
             &[8.0, 16.0],
@@ -1675,20 +1484,19 @@ mod tests {
         // Figure 9 intuition: with more compute, the same performance needs
         // less bandwidth only once compute-bound; conversely at a fixed
         // bandwidth the runtime improves (or stays equal) with more MODOPS.
-        let slow = runtime_with(
-            HksBenchmark::ARK,
-            Dataflow::OutputCentric,
-            256.0,
-            EvkPolicy::OnChip,
-            1.0,
-        );
-        let fast = runtime_with(
-            HksBenchmark::ARK,
-            Dataflow::OutputCentric,
-            256.0,
-            EvkPolicy::OnChip,
-            2.0,
-        );
+        let session = Session::new();
+        let runtime = |modops| {
+            builtin_runtime_ms(
+                &session,
+                HksBenchmark::ARK,
+                Dataflow::OutputCentric,
+                256.0,
+                EvkPolicy::OnChip,
+                modops,
+            )
+        };
+        let slow = runtime(1.0);
+        let fast = runtime(2.0);
         assert!(fast < slow);
         let (_, sat_runtime) = ark_saturation_point();
         let configs = equivalent_configs(HksBenchmark::ARK, sat_runtime * 1.02, &[1.0, 2.0]);

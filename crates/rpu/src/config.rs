@@ -179,6 +179,32 @@ impl RpuConfig {
         self
     }
 
+    /// Checks the timing parameters every task duration divides by: the
+    /// aggregate DRAM bandwidth and the MODOPS multiplier must both be
+    /// finite and strictly positive. The engine does not re-check them — a
+    /// NaN bandwidth, for one, makes every transfer end at NaN, which no
+    /// retirement test ever accepts — so callers validate a configuration
+    /// before executing on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending value.
+    pub fn validate(&self) -> Result<(), String> {
+        let bandwidth = self.dram_bandwidth_gbps;
+        if !bandwidth.is_finite() || bandwidth <= 0.0 {
+            return Err(format!(
+                "DRAM bandwidth {bandwidth} GB/s is not finite and positive"
+            ));
+        }
+        let modops = self.modops_multiplier;
+        if !modops.is_finite() || modops <= 0.0 {
+            return Err(format!(
+                "MODOPS multiplier {modops} is not finite and positive"
+            ));
+        }
+        Ok(())
+    }
+
     /// Peak modular operations per second (MODOPS): one modular multiply per
     /// HPLE per cycle, scaled by the MODOPS multiplier.
     pub fn modops_per_second(&self) -> f64 {
@@ -303,6 +329,24 @@ mod tests {
         // The clamped config is indistinguishable from an explicit 1-channel
         // one.
         assert_eq!(c, RpuConfig::ciflow_baseline().with_memory_channels(1));
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_timing_parameters() {
+        let base = RpuConfig::ciflow_baseline();
+        assert_eq!(base.validate(), Ok(()));
+        for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let message = base.clone().with_bandwidth(bad).validate().unwrap_err();
+            assert!(
+                message.contains(&format!("DRAM bandwidth {bad} GB/s")),
+                "{message}"
+            );
+            let message = base.clone().with_modops(bad).validate().unwrap_err();
+            assert!(
+                message.contains(&format!("MODOPS multiplier {bad}")),
+                "{message}"
+            );
+        }
     }
 
     #[test]

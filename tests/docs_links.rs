@@ -132,7 +132,7 @@ fn readme_documents_resilient_serving_and_the_fault_model() {
         "README.md must keep the resilient-serving section"
     );
     for snippet in [
-        "try_fault_serve",
+        "try_fault_serve_in",
         "FaultPlan::none()",
         "report.timed_out + report.shed",
         "goodput_rps",

@@ -2,11 +2,12 @@
 //! numbers): the abstract's headline results and the per-section takeaways.
 
 use ciflow::analysis::{min_memory_without_spills, table2_rows};
+use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::sweep::{
-    ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime,
-    streaming_equivalence_row, table4_rows, table5_rows, BASELINE_BANDWIDTH_GBPS,
+    ark_saturation_point, baseline_runtime_ms, streaming_equivalence_row, table4_rows, table5_rows,
+    try_min_bandwidth_for_runtime, BASELINE_BANDWIDTH_GBPS,
 };
 use rpu::{EvkPolicy, RpuConfig};
 
@@ -51,7 +52,7 @@ fn headline_bandwidth_saving_versus_mp_baseline() {
     // to 3.3x). Require a saving > 1.2x for the small benchmarks.
     for bench in [HksBenchmark::ARK, HksBenchmark::DPRIVE, HksBenchmark::BTS2] {
         let baseline = baseline_runtime_ms(bench);
-        let needed = min_bandwidth_for_runtime(
+        let needed = try_min_bandwidth_for_runtime(
             bench,
             Dataflow::OutputCentric,
             EvkPolicy::Streamed,
@@ -59,7 +60,8 @@ fn headline_bandwidth_saving_versus_mp_baseline() {
             baseline,
             4.0,
             1024.0,
-        );
+        )
+        .expect("built-in dataflow bisections are infallible");
         let saving = BASELINE_BANDWIDTH_GBPS / needed;
         assert!(
             saving > 1.2,
@@ -142,9 +144,12 @@ fn saturation_point_analysis_matches_the_papers_ordering() {
 fn figure4_low_bandwidth_gap_and_high_bandwidth_convergence() {
     // The defining shape of Figure 4: a large OC advantage at 8 GB/s that
     // shrinks towards parity at very high bandwidth, for every benchmark.
+    let session = Session::new();
     for bench in HksBenchmark::all() {
-        let runtime =
-            |d: Dataflow, bw: f64| ciflow::runner::runtime_ms(bench, d, bw, EvkPolicy::OnChip);
+        let runtime = |d: Dataflow, bw: f64| {
+            let job = Job::new(bench, d).with_rpu(RpuConfig::ciflow_baseline().with_bandwidth(bw));
+            session.run_job(&job).unwrap().runtime_ms()
+        };
         let gap_low = runtime(Dataflow::MaxParallel, 8.0) / runtime(Dataflow::OutputCentric, 8.0);
         let gap_high =
             runtime(Dataflow::MaxParallel, 1024.0) / runtime(Dataflow::OutputCentric, 1024.0);

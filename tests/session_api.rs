@@ -3,14 +3,18 @@
 //! per-job results, and cross-strategy invariants over the built-in
 //! dataflows.
 
-use ciflow::api::{Job, ScheduleStrategy, Session, StrategyRegistry};
+use ciflow::api::{Job, ScheduleStrategy, Session, StrategyRegistry, StrategySpec};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::error::CiflowError;
 use ciflow::hks_shape::HksShape;
 use ciflow::schedule::{Schedule, ScheduleConfig};
+use ciflow::sweep::{try_heterogeneous_sweep_in, try_workload_sweep_in, BANDWIDTH_LADDER};
+use ciflow::workload::{PipelineMode, Workload};
 use rpu::{ComputeKind, EvkPolicy, MemoryDirection, RpuConfig, TaskGraph};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A deliberately naive out-of-crate strategy: stream everything, reuse
 /// nothing. It is built purely from the public `rpu` task-graph API — no
@@ -299,7 +303,8 @@ fn deadlocking_strategy_fails_its_own_jobs_without_poisoning_siblings() {
 
 #[test]
 fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
-    let series = ciflow::sweep::try_bandwidth_sweep(
+    let series = ciflow::sweep::try_bandwidth_sweep_in(
+        &Session::new(),
         HksBenchmark::ARK,
         Dataflow::OutputCentric,
         &[],
@@ -320,7 +325,8 @@ fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
 
 #[test]
 fn sweeps_accept_custom_strategies() {
-    let series = ciflow::sweep::try_bandwidth_sweep(
+    let series = ciflow::sweep::try_bandwidth_sweep_in(
+        &Session::new(),
         HksBenchmark::DPRIVE,
         ciflow::api::StrategySpec::Inline(Arc::new(NoReuse)),
         &[8.0, 64.0, 1024.0],
@@ -345,9 +351,10 @@ fn sweeps_accept_custom_strategies() {
     .expect("registered strategies sweep by name");
     assert_eq!(by_name.dataflow, "NR");
     assert_eq!(by_name.points.len(), 2);
-    // ...but not through the builtin-only entry point.
+    // ...but not through a session that never registered it.
     assert!(matches!(
-        ciflow::sweep::try_bandwidth_sweep(
+        ciflow::sweep::try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::DPRIVE,
             "NR",
             &[8.0],
@@ -356,4 +363,96 @@ fn sweeps_accept_custom_strategies() {
         ),
         Err(CiflowError::UnknownStrategy { .. })
     ));
+}
+
+/// Output-Centric, counting how often a session asks it to build a schedule.
+struct CountingBuilds(AtomicUsize);
+
+impl ScheduleStrategy for CountingBuilds {
+    fn name(&self) -> &str {
+        "counting-output-centric"
+    }
+
+    fn short_name(&self) -> &str {
+        "COC"
+    }
+
+    fn build(&self, shape: &HksShape, config: &ScheduleConfig) -> Result<Schedule, CiflowError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Dataflow::OutputCentric.strategy().build(shape, config)
+    }
+}
+
+#[test]
+fn sweeps_reuse_the_callers_schedule_cache() {
+    let counting = Arc::new(CountingBuilds(AtomicUsize::new(0)));
+    let builds = || counting.0.load(Ordering::SeqCst);
+    let spec = StrategySpec::Inline(counting.clone());
+    let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
+    let session = Session::new();
+    session
+        .run_job(
+            &Job::workload(workload.clone(), spec.clone(), PipelineMode::Fused)
+                .with_rpu(RpuConfig::ciflow_baseline()),
+        )
+        .unwrap();
+    let per_plan = builds();
+    assert!(per_plan > 0);
+
+    // Same plan key (bandwidth is not part of it): every point is a hit.
+    try_workload_sweep_in(
+        &session,
+        &workload,
+        spec.clone(),
+        &BANDWIDTH_LADDER,
+        EvkPolicy::OnChip,
+        1.0,
+        PipelineMode::Fused,
+    )
+    .unwrap();
+    assert_eq!(builds(), per_plan, "the workload sweep re-planned");
+
+    // Fused is cached; only the back-to-back plan is new.
+    try_heterogeneous_sweep_in(
+        &session,
+        &workload,
+        spec,
+        &BANDWIDTH_LADDER,
+        EvkPolicy::OnChip,
+    )
+    .unwrap();
+    assert_eq!(builds(), 2 * per_plan, "one build per distinct plan key");
+}
+
+#[test]
+fn degenerate_timing_parameters_are_typed_errors_not_stalls() {
+    // A NaN bandwidth once stalled the engine forever, so the calls run on
+    // a watchdog thread: a stall fails the test instead of hanging it.
+    let (done, verdicts) = mpsc::channel();
+    std::thread::spawn(move || {
+        let base = RpuConfig::ciflow_baseline();
+        let mut configs: Vec<RpuConfig> = [f64::NAN, 0.0, -1.0, f64::INFINITY]
+            .into_iter()
+            .map(|bw| base.clone().with_bandwidth(bw))
+            .collect();
+        configs.push(base.with_modops(f64::NAN));
+        for rpu in configs {
+            let session = Session::new().with_rpu(rpu.clone());
+            let job = Job::new(HksBenchmark::ARK, Dataflow::OutputCentric);
+            let outcomes = [
+                ("run_one", session.run_one(HksBenchmark::ARK, "OC").err()),
+                ("run_analytic", session.run_analytic(&job, 8.0, 64.0).err()),
+                ("bounds_job", session.bounds_job(&job).err()),
+            ];
+            for (call, error) in outcomes {
+                done.send(format!("{call} on {rpu:?}: {error:?}")).unwrap();
+            }
+        }
+    });
+    for _ in 0..15 {
+        let verdict = verdicts
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a degenerate configuration stalled the session");
+        assert!(verdict.contains("Some(InvalidConfig"), "{verdict}");
+    }
 }

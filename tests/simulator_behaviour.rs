@@ -2,13 +2,13 @@
 //! bandwidth/compute scaling laws, decoupled-queue overlap, and trace
 //! consistency.
 
+use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::hks_shape::HksShape;
-use ciflow::runner::HksRun;
 use ciflow::schedule::{build_schedule, ScheduleConfig};
 use common::{baseline_at, streaming_at};
-use rpu::{EvkPolicy, RpuEngine};
+use rpu::{EvkPolicy, RpuEngine, TraceMode};
 
 #[path = "common/mod.rs"]
 mod common;
@@ -18,9 +18,8 @@ fn runtime_is_monotone_in_bandwidth_for_all_dataflows() {
     for dataflow in Dataflow::all() {
         let mut last = f64::INFINITY;
         for bw in [8.0, 16.0, 32.0, 64.0, 128.0, 512.0] {
-            let result = HksRun::new(HksBenchmark::ARK, dataflow)
-                .with_rpu(baseline_at(bw))
-                .execute()
+            let result = Session::new()
+                .run_job(&Job::new(HksBenchmark::ARK, dataflow).with_rpu(baseline_at(bw)))
                 .unwrap();
             let runtime = result.stats.runtime_seconds;
             assert!(
@@ -66,9 +65,10 @@ fn runtime_never_beats_the_compute_and_memory_bounds() {
 #[test]
 fn compute_idle_fraction_shrinks_with_bandwidth() {
     let at = |bw: f64| {
-        HksRun::new(HksBenchmark::DPRIVE, Dataflow::OutputCentric)
-            .with_rpu(baseline_at(bw))
-            .execute()
+        Session::new()
+            .run_job(
+                &Job::new(HksBenchmark::DPRIVE, Dataflow::OutputCentric).with_rpu(baseline_at(bw)),
+            )
             .unwrap()
             .stats
             .compute_idle_fraction()
@@ -83,9 +83,8 @@ fn oc_is_less_idle_than_mp_at_low_bandwidth() {
     // Paper §VI-A: at 12.8 GB/s OC leaves the RPU idle ~21% of the time for
     // DPRIVE versus ~73% for MP. Require a clear gap, not exact numbers.
     let idle = |dataflow| {
-        HksRun::new(HksBenchmark::DPRIVE, dataflow)
-            .with_rpu(baseline_at(12.8))
-            .execute()
+        Session::new()
+            .run_job(&Job::new(HksBenchmark::DPRIVE, dataflow).with_rpu(baseline_at(12.8)))
             .unwrap()
             .stats
             .compute_idle_fraction()
@@ -103,9 +102,11 @@ fn modops_scaling_only_helps_when_compute_bound() {
     // At very low bandwidth, doubling MODOPS barely changes the runtime; at
     // high bandwidth it nearly halves it (Figure 8's two regimes).
     let runtime = |bw: f64, modops: f64| {
-        HksRun::new(HksBenchmark::ARK, Dataflow::OutputCentric)
-            .with_rpu(baseline_at(bw).with_modops(modops))
-            .execute()
+        Session::new()
+            .run_job(
+                &Job::new(HksBenchmark::ARK, Dataflow::OutputCentric)
+                    .with_rpu(baseline_at(bw).with_modops(modops)),
+            )
             .unwrap()
             .stats
             .runtime_ms()
@@ -124,10 +125,11 @@ fn modops_scaling_only_helps_when_compute_bound() {
 
 #[test]
 fn traces_cover_every_stage_and_are_time_consistent() {
-    let result = HksRun::new(HksBenchmark::ARK, Dataflow::OutputCentric)
-        .execute()
+    let result = Session::new()
+        .with_trace(TraceMode::Full)
+        .run_one(HksBenchmark::ARK, Dataflow::OutputCentric)
         .unwrap();
-    let records = result.trace.records();
+    let records = result.trace.as_ref().unwrap().records();
     assert_eq!(
         records.len(),
         result.schedule.graph.len(),
